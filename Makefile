@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race fuzz bce bench-json bench-smoke soak soak-smoke fleet-smoke fleet-bench trace-smoke lint check
+.PHONY: build vet test race fuzz bce bench-json bench-smoke soak soak-smoke fleet-smoke fleet-bench trace-smoke ispstream-smoke lint check
 
 build:
 	$(GO) build ./...
@@ -109,10 +109,16 @@ fleet-bench:
 trace-smoke:
 	$(GO) run ./cmd/xatu-fleet -smoke -assert -trace 64 > /dev/null
 
+# Live serving acceptance: train a small model, stream a test attack
+# window over a real UDP socket through the ingest pipeline into a sharded
+# engine, and fail unless the window raises at least one alert.
+ispstream-smoke:
+	$(GO) run ./examples/ispstream > /dev/null
+
 # Short fuzz pass over the wire codec and journal (CI smoke; run longer
 # locally with -fuzztime as needed).
 fuzz:
 	$(GO) test ./internal/netflow -run '^$$' -fuzz FuzzDecodeV5 -fuzztime 10s
 	$(GO) test ./internal/netflow -run '^$$' -fuzz FuzzJournalRoundTrip -fuzztime 10s
 
-check: build lint bce test race fleet-smoke trace-smoke
+check: build lint bce test race fleet-smoke trace-smoke ispstream-smoke

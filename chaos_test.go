@@ -6,15 +6,17 @@ import (
 	"net/netip"
 	"testing"
 	"time"
+
+	"github.com/xatu-go/xatu/internal/netflow"
 )
 
 // TestChaosIngestDetectionParity is the end-to-end fault-tolerance
 // acceptance test: a trained monitor watches a real test attack streamed
 // through a faulty transport (10% loss, 5% duplication, 5% reordering,
 // seeded) and must still alert within 5 steps of the fault-free detection
-// time, while the collector's accounting separates upstream loss from
-// duplication from shedding. The chaos schedule is seeded, so the whole
-// test is deterministic.
+// time, while per-exporter sequence accounting separates upstream loss
+// from duplication and reordering. The chaos schedule is seeded, so the
+// whole test is deterministic.
 func TestChaosIngestDetectionParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains a model")
@@ -42,14 +44,12 @@ func TestChaosIngestDetectionParity(t *testing.T) {
 	customer := p.World.Customers[ep.CustomerIdx].Addr
 
 	// runEpisode streams the episode's flows through an exporter → chaos
-	// pipe → collector → monitor chain and reports the first alert step.
-	runEpisode := func(t *testing.T, chaos ChaosConfig) (alertStep int, st CollectorStats, cs ChaosStats) {
+	// pipe → decode + sequence tracking → monitor chain and reports the
+	// first alert step.
+	runEpisode := func(t *testing.T, chaos ChaosConfig) (alertStep int, st seqStats, cs ChaosStats) {
 		t.Helper()
-		col, err := NewCollector("127.0.0.1:0", 1<<16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pipe := NewChaosPipe(col, "192.0.2.1:2055", chaos)
+		sink := &decodeSink{t: t, tracker: netflow.NewSeqTracker()}
+		pipe := NewChaosPipe(sink, "192.0.2.1:2055", chaos)
 		exp, err := NewExporterWithConfig(ExporterConfig{
 			Dial: func() (net.Conn, error) { return pipe, nil },
 		})
@@ -81,17 +81,9 @@ func TestChaosIngestDetectionParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			// The pipe delivers synchronously, so this step's surviving
-			// records are already buffered.
-			var flows []Record
-		drain:
-			for {
-				select {
-				case r := <-col.Records():
-					flows = append(flows, r)
-				default:
-					break drain
-				}
-			}
+			// records are already decoded.
+			flows := sink.recs
+			sink.recs = nil
 			at := cfg.World.TimeOf(s)
 			if len(flows) == 0 {
 				// A fully-lost step: keep the detector branches stepping.
@@ -105,14 +97,15 @@ func TestChaosIngestDetectionParity(t *testing.T) {
 		if err := exp.Close(); err != nil {
 			t.Fatal(err)
 		}
-		return alertStep, col.FullStats(), pipe.Stats()
+		dup, reordered, lost := sink.tracker.Counters()
+		return alertStep, seqStats{dup, reordered, lost}, pipe.Stats()
 	}
 
 	cleanStep, cleanStats, _ := runEpisode(t, ChaosConfig{Seed: 1})
 	if cleanStep < 0 {
 		t.Fatal("fault-free run never alerted; detection is broken before chaos enters")
 	}
-	if cleanStats.LostRecords != 0 || cleanStats.DupPackets != 0 || cleanStats.Shed != 0 {
+	if cleanStats != (seqStats{}) {
 		t.Fatalf("fault-free run shows faults: %+v", cleanStats)
 	}
 
@@ -125,27 +118,46 @@ func TestChaosIngestDetectionParity(t *testing.T) {
 		t.Fatalf("chaos detection at step %d, fault-free at %d: drift %d steps exceeds 5",
 			chaosStep, cleanStep, d)
 	}
-	// The collector must separate the loss classes: sequence gaps from
-	// dropped datagrams, duplicate deliveries, and (here) zero shedding.
+	// Sequence accounting must separate the loss classes: sequence gaps
+	// from dropped datagrams, and duplicate deliveries.
 	if chaosFaults.Dropped == 0 || chaosFaults.Duplicated == 0 {
 		t.Fatalf("chaos transport injected nothing: %+v", chaosFaults)
 	}
-	if chaosStats.LostRecords == 0 {
-		t.Fatal("collector did not account dropped datagrams as lost records")
+	if chaosStats.lost == 0 {
+		t.Fatal("dropped datagrams not accounted as lost records")
 	}
-	if chaosStats.DupPackets == 0 {
-		t.Fatal("collector did not account duplicated datagrams")
-	}
-	if chaosStats.Shed != 0 {
-		t.Fatalf("collector shed %d records with a non-full channel", chaosStats.Shed)
+	if chaosStats.dup == 0 {
+		t.Fatal("duplicated datagrams not accounted")
 	}
 
 	// Seeded chaos is deterministic: an identical rerun reproduces the
-	// alert step, the fault schedule, and the collector accounting exactly.
+	// alert step, the fault schedule, and the loss accounting exactly.
 	againStep, againStats, againFaults := runEpisode(t, chaosCfg)
 	if againStep != chaosStep || againStats != chaosStats || againFaults != chaosFaults {
 		t.Fatalf("chaos rerun diverged:\n  step %d vs %d\n  stats %+v vs %+v\n  faults %+v vs %+v",
 			againStep, chaosStep, againStats, chaosStats, againFaults, chaosFaults)
+	}
+}
+
+// seqStats is the loss-accounting snapshot of a SeqTracker.
+type seqStats struct{ dup, reordered, lost uint64 }
+
+// decodeSink decodes each delivered datagram and runs per-exporter
+// sequence accounting, the way an ingest decode worker does, buffering
+// the records of every datagram that is not a duplicate.
+type decodeSink struct {
+	t       *testing.T
+	tracker *netflow.SeqTracker
+	recs    []Record
+}
+
+func (d *decodeSink) HandlePacket(src string, pkt []byte) {
+	h, recs, err := netflow.DecodeV5(pkt)
+	if err != nil {
+		d.t.Fatal(err)
+	}
+	if !d.tracker.Track(src, h, len(recs)) {
+		d.recs = append(d.recs, recs...)
 	}
 }
 

@@ -1,6 +1,7 @@
 // Command ispgen generates a synthetic ISP world and either prints a
 // summary of its traffic and attack schedule or exports the flow records of
-// a time range as NetFlow v5 datagrams to a collector (see xatu-detect).
+// a time range as NetFlow v5 datagrams to a collector (see xatu-detect,
+// run with -step 1m to match the default one-minute world step).
 //
 // Usage:
 //
@@ -59,15 +60,31 @@ func main() {
 		return
 	}
 
-	exp, err := netflow.NewExporter(*export, uint16(*sample))
+	sent, dropped, err := exportSteps(w, netflow.ExporterConfig{Addr: *export}, *sample, *seed, *from, *to, *rate)
 	if err != nil {
 		fatal("%v", err)
 	}
-	defer exp.Close()
-	sampler := netflow.NewSampler(*sample, rand.New(rand.NewSource(*seed)))
+	fmt.Printf("exported %d flow records (%d sampled away) for steps [%d,%d) to %s\n",
+		sent, dropped, *from, *to, *export)
+}
 
-	var sent, dropped uint64
-	for s := *from; s < *to; s++ {
+// exportSteps exports every customer's flows for steps [from, to) through
+// an exporter built from cfg, after 1:sample packet sampling, flushing once
+// per step and pausing rate between steps. It exports on the record clock
+// (BootTime one step before the first exported step), so the datagrams
+// carry the simulated flow times that an event-time consumer such as the
+// detector's ingest pipeline seals steps by; the exporter's live mode would
+// clamp them all into the last wall-clock minute.
+func exportSteps(w *simnet.World, cfg netflow.ExporterConfig, sample int, seed int64, from, to int, rate time.Duration) (sent, dropped uint64, err error) {
+	cfg.Sampling = uint16(sample)
+	cfg.BootTime = w.Cfg.TimeOf(from).Add(-w.Cfg.Step)
+	exp, err := netflow.NewExporterWithConfig(cfg)
+	if err != nil {
+		return 0, 0, err
+	}
+	defer exp.Close()
+	sampler := netflow.NewSampler(sample, rand.New(rand.NewSource(seed)))
+	for s := from; s < to; s++ {
 		for ci := range w.Customers {
 			for _, r := range w.FlowsAt(ci, s) {
 				out, ok := sampler.Sample(r)
@@ -76,20 +93,19 @@ func main() {
 					continue
 				}
 				if err := exp.Export(out); err != nil {
-					fatal("export: %v", err)
+					return sent, dropped, fmt.Errorf("export: %w", err)
 				}
 				sent++
 			}
 		}
 		if err := exp.Flush(); err != nil {
-			fatal("flush: %v", err)
+			return sent, dropped, fmt.Errorf("flush: %w", err)
 		}
-		if *rate > 0 {
-			time.Sleep(*rate)
+		if rate > 0 {
+			time.Sleep(rate)
 		}
 	}
-	fmt.Printf("exported %d flow records (%d sampled away) for steps [%d,%d) to %s\n",
-		sent, dropped, *from, *to, *export)
+	return sent, dropped, exp.Close()
 }
 
 // writeJournal persists flows for steps [from, to) to a journal file.

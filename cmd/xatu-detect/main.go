@@ -1,15 +1,15 @@
 // Command xatu-detect runs the online detection loop of §2.6: it listens
-// for NetFlow v5 datagrams, aggregates flows per customer per step, feeds
-// them through a sharded detection Engine (trained models + 273-feature
-// extractor, one single-threaded Monitor per shard) and prints alerts.
-// Pair it with ispgen:
+// for NetFlow v5 datagrams, seals per-customer steps by record event time
+// in the parallel ingest pipeline, feeds them through a sharded detection
+// Engine (trained models + 273-feature extractor, one single-threaded
+// Monitor per shard) and prints alerts. Pair it with ispgen, whose world
+// steps are one minute:
 //
-//	xatu-detect -models ./models -listen 127.0.0.1:2055 -step 5s -shards 4 &
+//	xatu-detect -models ./models -listen 127.0.0.1:2055 -step 1m -shards 4 &
 //	ispgen -export 127.0.0.1:2055 -from 0 -to 720 -rate 10ms
 package main
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"flag"
@@ -19,63 +19,54 @@ import (
 	"net/netip"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
-	"strconv"
-	"strings"
 	"time"
 
 	"github.com/xatu-go/xatu"
-	"github.com/xatu-go/xatu/internal/blocklist"
 	"github.com/xatu-go/xatu/internal/netflow"
-	"github.com/xatu-go/xatu/internal/routing"
-	"github.com/xatu-go/xatu/internal/simnet"
 )
 
 func main() {
 	var (
 		modelDir = flag.String("models", "models", "directory written by xatu-train")
 		listen   = flag.String("listen", "127.0.0.1:2055", "NetFlow listen address")
-		step     = flag.Duration("step", 5*time.Second, "aggregation step (wall clock)")
+		step     = flag.Duration("step", 2*time.Minute, "event-time step: live ingest seals per-customer steps of this length by record time, and -replay buckets journal records by it (xatu-train's world step is 2m, ispgen's 1m)")
 		thFlag   = flag.Float64("threshold", 0, "survival threshold override (0 = use saved)")
 		replay   = flag.String("replay", "", "replay a flow journal file instead of listening on UDP")
-		simStep  = flag.Duration("sim-step", 2*time.Minute, "journal replay: step size of the recorded flows")
 		ckpt     = flag.String("checkpoint", "", "detector state file: restored on startup if present, saved periodically and on shutdown")
 		ckptIval = flag.Duration("checkpoint-interval", time.Minute, "how often to save -checkpoint")
 		ckptInc  = flag.Bool("checkpoint-incremental", true, "periodic saves read the supervisor's background per-shard snapshots instead of stalling the fleet at a barrier (shutdown still writes a barrier checkpoint)")
 		shards   = flag.Int("shards", runtime.GOMAXPROCS(0), "detection shards (single-threaded monitors); customers are hash-partitioned across them")
 		queue    = flag.Int("queue", 1024, "per-shard mailbox capacity (live ingest sheds oldest on overflow; replay blocks)")
 		telAddr  = flag.String("telemetry-addr", "", "serve Prometheus /metrics, /healthz, /debug/alerts and pprof on this address (empty = disabled)")
-		ingestW  = flag.Int("ingest-workers", 0, "run the parallel allocation-lean ingest pipeline with this many decode and aggregation workers; steps are sealed by record event time with -lateness allowance (0 = legacy collector with wall-clock stepping)")
-		lateness = flag.Duration("lateness", 2*time.Minute, "ingest pipeline: how far out of order records may arrive before a step seals without them")
+		ingestW  = flag.Int("ingest-workers", 0, "ingest pipeline decode and aggregation workers each (0 = GOMAXPROCS)")
+		lateness = flag.Duration("lateness", 2*time.Minute, "how far out of order records may arrive before a step seals without them")
 		precFlag = flag.String("precision", "float32", "serving kernel precision: float32 (quantized panel kernels) or float64 (training precision)")
 	)
 	flag.Parse()
 
-	models, def, err := loadModels(*modelDir)
+	b, err := xatu.LoadBundle(*modelDir)
 	if err != nil {
 		fatal("%v", err)
 	}
-	threshold := *thFlag
-	if threshold == 0 {
-		threshold, err = loadThreshold(filepath.Join(*modelDir, "threshold"))
-		if err != nil {
-			fatal("%v", err)
-		}
+	for _, name := range b.Missing {
+		fmt.Fprintf(os.Stderr, "warning: no %s in %s; the signals it feeds start empty\n", name, *modelDir)
+	}
+	threshold := b.Threshold
+	if *thFlag != 0 {
+		threshold = *thFlag
 	}
 	precision, err := xatu.ParsePrecision(*precFlag)
 	if err != nil {
 		fatal("%v", err)
 	}
 
-	// Live ingest sheds oldest rather than blocking the collector drain
-	// loop; a journal replay has no liveness constraint, so it blocks and
-	// loses nothing.
-	// engineStep tells the engine how much traffic time one Submit covers,
-	// which the CDetOnly fallback needs to turn byte counts into rates.
-	policy, engineStep := xatu.BackpressureShedOldest, *step
+	// Live ingest sheds oldest rather than blocking the pipeline's
+	// aggregation workers; a journal replay has no liveness constraint,
+	// so it blocks and loses nothing.
+	policy := xatu.BackpressureShedOldest
 	if *replay != "" {
-		policy, engineStep = xatu.BackpressureBlock, *simStep
+		policy = xatu.BackpressureBlock
 	}
 	var reg *xatu.TelemetryRegistry
 	if *telAddr != "" {
@@ -83,13 +74,13 @@ func main() {
 	}
 	eng, err := xatu.NewEngine(xatu.EngineConfig{
 		Monitor: xatu.MonitorConfig{
-			Models: models, Default: def, Extractor: loadExtractor(*modelDir),
+			Models: b.Models, Default: b.Default, Extractor: b.Extractor,
 			Threshold: threshold, RecordHistory: true, Precision: precision,
 		},
 		Shards:    *shards,
 		Queue:     *queue,
 		Policy:    policy,
-		Step:      engineStep,
+		Step:      *step,
 		Telemetry: reg,
 	})
 	if err != nil {
@@ -141,93 +132,25 @@ func main() {
 	}()
 
 	if *replay != "" {
-		replayJournal(eng, *replay, *simStep)
+		replayJournal(eng, *replay, *step)
 		saveCheckpoint(eng, *ckpt, false)
-		printHealthSummary(eng)
-		eng.Close()
-		<-alertsDone
-		return
+	} else {
+		fmt.Printf("survival threshold %.4f, step %v, lateness %v, %d shards (queue %d)\n",
+			threshold, *step, *lateness, eng.Shards(), *queue)
+		serve(eng, reg, *listen, *ingestW, *step, *lateness, *ckpt, *ckptIval, *ckptInc)
 	}
-
-	if *ingestW > 0 {
-		runPipeline(eng, reg, *listen, *ingestW, *step, *lateness, *ckpt, *ckptIval, *ckptInc)
-		eng.Close()
-		<-alertsDone
-		return
-	}
-
-	col, err := xatu.NewCollector(*listen, 65536)
-	if err != nil {
-		fatal("%v", err)
-	}
-	if reg != nil {
-		col.RegisterMetrics(reg)
-	}
-	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer cancel()
-	go col.Run(ctx)
-	fmt.Printf("listening on %s, survival threshold %.4f, step %v, %d shards (queue %d)\n",
-		col.Addr(), threshold, *step, eng.Shards(), *queue)
-
-	var (
-		pending  = map[netip.Addr][]xatu.Record{}
-		known    = map[netip.Addr]bool{} // customers seen at least once
-		lastSave time.Time
-	)
-	shutdown := func() {
-		st := col.FullStats()
-		es := eng.Stats()
-		fmt.Printf("shutting down (records=%d shed=%d lost=%d dup=%d reordered=%d bad=%d exporters=%d)\n",
-			st.Records, st.Shed, st.LostRecords, st.DupPackets, st.ReorderedPackets, st.BadPackets, st.Exporters)
-		fmt.Printf("engine: %d shards, steps=%d missing=%d shed=%d alerts=%d queue-hw=%d\n",
-			eng.Shards(), es.Steps, es.Missing, es.Shed, es.Alerts, es.QueueHighWater)
-		saveCheckpoint(eng, *ckpt, false)
-		printHealthSummary(eng)
-		eng.Close()
-		<-alertsDone
-	}
-	ticker := time.NewTicker(*step)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			shutdown()
-			return
-		case r, ok := <-col.Records():
-			if !ok {
-				shutdown()
-				return
-			}
-			pending[r.Dst] = append(pending[r.Dst], r)
-		case <-ticker.C:
-			now := time.Now()
-			// Customers that went quiet this step still get a gap step, so
-			// their detector branches keep advancing in lockstep.
-			for customer := range known {
-				if _, ok := pending[customer]; !ok {
-					eng.ObserveMissing(customer, now)
-				}
-			}
-			for customer, flows := range pending {
-				known[customer] = true
-				eng.Submit(customer, now, flows)
-				delete(pending, customer)
-			}
-			if *ckpt != "" && now.Sub(lastSave) >= *ckptIval {
-				saveCheckpoint(eng, *ckpt, *ckptInc)
-				lastSave = now
-			}
-		}
-	}
+	printHealthSummary(eng)
+	eng.Close()
+	<-alertsDone
 }
 
-// runPipeline serves live ingest through the parallel allocation-lean
-// pipeline: decode workers partition packets by exporter, aggregation
-// workers seal per-customer steps by record event time, and sealed steps
-// feed the engine's shards directly. Unlike the legacy collector loop
-// there is no wall-clock ticker — step boundaries come from the records
-// themselves, sealed once the watermark passes the lateness allowance.
-func runPipeline(eng *xatu.Engine, reg *xatu.TelemetryRegistry, listen string, workers int, step, lateness time.Duration, ckpt string, ckptIval time.Duration, ckptInc bool) {
+// serve runs live ingest through the parallel ingest pipeline until
+// interrupted: decode workers partition packets by exporter, aggregation
+// workers seal per-customer steps by record event time once the watermark
+// passes the lateness allowance, and sealed steps feed the engine's shards
+// directly. On shutdown it flushes the open steps and writes a barrier
+// checkpoint.
+func serve(eng *xatu.Engine, reg *xatu.TelemetryRegistry, listen string, workers int, step, lateness time.Duration, ckpt string, ckptIval time.Duration, ckptInc bool) {
 	pc, err := net.ListenPacket("udp", listen)
 	if err != nil {
 		fatal("%v", err)
@@ -245,8 +168,7 @@ func runPipeline(eng *xatu.Engine, reg *xatu.TelemetryRegistry, listen string, w
 	}
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer cancel()
-	fmt.Printf("listening on %s, ingest pipeline with %d decode + %d aggregation workers, step %v, lateness %v\n",
-		pc.LocalAddr(), workers, workers, step, lateness)
+	fmt.Printf("listening on %s\n", pc.LocalAddr())
 
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- pipe.Serve(ctx, pc) }()
@@ -265,12 +187,11 @@ func runPipeline(eng *xatu.Engine, reg *xatu.TelemetryRegistry, listen string, w
 			}
 			st := pipe.Stats()
 			es := eng.Stats()
-			fmt.Printf("shutting down (packets=%d records=%d steps=%d dup=%d reordered=%d lost=%d late=%d bad=%d)\n",
-				st.Packets, st.Records, st.Steps, st.DupPackets, st.ReorderedPackets, st.LostRecords, st.DroppedLate, st.BadPackets)
+			fmt.Printf("shutting down (packets=%d records=%d steps=%d dup=%d reordered=%d lost=%d late=%d bad=%d exporters=%d)\n",
+				st.Packets, st.Records, st.Steps, st.DupPackets, st.ReorderedPackets, st.LostRecords, st.DroppedLate, st.BadPackets, st.Exporters)
 			fmt.Printf("engine: %d shards, steps=%d missing=%d shed=%d alerts=%d queue-hw=%d\n",
 				eng.Shards(), es.Steps, es.Missing, es.Shed, es.Alerts, es.QueueHighWater)
 			saveCheckpoint(eng, ckpt, false)
-			printHealthSummary(eng)
 			return
 		}
 	}
@@ -329,52 +250,6 @@ func printHealthSummary(eng *xatu.Engine) {
 	}
 }
 
-// loadExtractor builds the feature extractor from the registry files
-// xatu-train exported next to the models; missing files leave the
-// corresponding signal empty (with a warning) rather than failing.
-func loadExtractor(dir string) *xatu.FeatureExtractor {
-	ext := &xatu.FeatureExtractor{
-		Blocklists: xatu.NewBlocklistRegistry(),
-		History:    xatu.NewHistoryRegistry(),
-		Geo:        simnet.GeoOf,
-		A4Window:   72 * time.Hour,
-		A5Window:   24 * time.Hour,
-	}
-	if f, err := os.Open(filepath.Join(dir, "blocklists.txt")); err == nil {
-		if n, err := blocklist.LoadText(f, ext.Blocklists); err != nil {
-			fatal("blocklists.txt: %v", err)
-		} else {
-			fmt.Printf("loaded %d blocklisted /24s\n", n)
-		}
-		f.Close()
-	} else {
-		fmt.Fprintln(os.Stderr, "warning: no blocklists.txt; A1 features will be empty")
-	}
-	table := &routing.Table{}
-	if f, err := os.Open(filepath.Join(dir, "routes.txt")); err == nil {
-		t, err := routing.LoadText(f)
-		f.Close()
-		if err != nil {
-			fatal("routes.txt: %v", err)
-		}
-		table = t
-		fmt.Printf("loaded %d routes\n", table.Len())
-	} else {
-		fmt.Fprintln(os.Stderr, "warning: no routes.txt; every source will look unrouted")
-	}
-	ext.Spoof = xatu.NewSpoofChecker(table)
-	if f, err := os.Open(filepath.Join(dir, "history.snap")); err == nil {
-		if err := ext.History.Load(f); err != nil {
-			fatal("history.snap: %v", err)
-		}
-		f.Close()
-		fmt.Println("loaded attack-history snapshot")
-	} else {
-		fmt.Fprintln(os.Stderr, "warning: no history.snap; A2/A4/A5 start cold")
-	}
-	return ext
-}
-
 // replayJournal streams a recorded flow journal through the engine,
 // bucketing records into simulated steps by their start timestamps.
 func replayJournal(eng *xatu.Engine, path string, step time.Duration) {
@@ -423,56 +298,6 @@ func replayJournal(eng *xatu.Engine, path string, step time.Duration) {
 	}
 	fmt.Printf("replayed %d records, %d alerts across %d shards\n",
 		jr.Count(), eng.Stats().Alerts, eng.Shards())
-}
-
-func loadModels(dir string) (map[xatu.AttackType]*xatu.Model, *xatu.Model, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, nil, err
-	}
-	models := map[xatu.AttackType]*xatu.Model{}
-	var def *xatu.Model
-	names := map[string]xatu.AttackType{
-		"udp-flood": xatu.UDPFlood, "tcp-ack": xatu.TCPACK, "tcp-syn": xatu.TCPSYN,
-		"tcp-rst": xatu.TCPRST, "dns-amp": xatu.DNSAmp, "icmp-flood": xatu.ICMPFlood,
-	}
-	for _, e := range entries {
-		if !strings.HasSuffix(e.Name(), ".xatu") {
-			continue
-		}
-		f, err := os.Open(filepath.Join(dir, e.Name()))
-		if err != nil {
-			return nil, nil, err
-		}
-		m, err := xatu.LoadModel(f)
-		f.Close()
-		if err != nil {
-			return nil, nil, fmt.Errorf("loading %s: %w", e.Name(), err)
-		}
-		base := strings.TrimSuffix(e.Name(), ".xatu")
-		if base == "shared" {
-			def = m
-		} else if at, ok := names[base]; ok {
-			models[at] = m
-		}
-	}
-	if def == nil && len(models) == 0 {
-		return nil, nil, fmt.Errorf("no models found in %s (run xatu-train first)", dir)
-	}
-	return models, def, nil
-}
-
-func loadThreshold(path string) (float64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	if !sc.Scan() {
-		return 0, fmt.Errorf("empty threshold file %s", path)
-	}
-	return strconv.ParseFloat(strings.TrimSpace(sc.Text()), 64)
 }
 
 func fatal(format string, args ...any) {

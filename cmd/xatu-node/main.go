@@ -13,22 +13,16 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
-	"strconv"
 	"strings"
 	"time"
 
 	"github.com/xatu-go/xatu"
-	"github.com/xatu-go/xatu/internal/blocklist"
-	"github.com/xatu-go/xatu/internal/routing"
-	"github.com/xatu-go/xatu/internal/simnet"
 )
 
 func main() {
@@ -41,7 +35,7 @@ func main() {
 		api      = flag.String("api", "127.0.0.1:0", "cluster API listen address (table pushes, forwarded steps, migration segments)")
 		telAddr  = flag.String("telemetry", "127.0.0.1:0", "Prometheus /metrics + /healthz listen address (scraped by the coordinator's federated /metrics)")
 		shards   = flag.Int("shards", runtime.GOMAXPROCS(0), "detection shards (must match the coordinator's -shards)")
-		step     = flag.Duration("step", 5*time.Second, "aggregation step")
+		step     = flag.Duration("step", 2*time.Minute, "event-time step: ingest seals per-customer steps of this length by record time (xatu-train's world step is 2m)")
 		lateness = flag.Duration("lateness", 2*time.Minute, "how far out of order records may arrive before a step seals without them")
 		workers  = flag.Int("workers", 2, "ingest decode + aggregation workers")
 		queue    = flag.Int("queue", 1024, "per-shard mailbox capacity")
@@ -56,16 +50,16 @@ func main() {
 	// accept a pasted URL anyway.
 	*coord = strings.TrimSuffix(strings.TrimPrefix(*coord, "http://"), "/")
 
-	models, def, err := loadModels(*modelDir)
+	b, err := xatu.LoadBundle(*modelDir)
 	if err != nil {
 		fatal("%v", err)
 	}
-	threshold := *thFlag
-	if threshold == 0 {
-		threshold, err = loadThreshold(filepath.Join(*modelDir, "threshold"))
-		if err != nil {
-			fatal("%v", err)
-		}
+	for _, name := range b.Missing {
+		logf("warning: no %s in %s; the signals it feeds start empty", name, *modelDir)
+	}
+	threshold := b.Threshold
+	if *thFlag != 0 {
+		threshold = *thFlag
 	}
 	precision, err := xatu.ParsePrecision(*precFlag)
 	if err != nil {
@@ -80,7 +74,7 @@ func main() {
 		TelemetryAddr: *telAddr,
 		Engine: xatu.EngineConfig{
 			Monitor: xatu.MonitorConfig{
-				Models: models, Default: def, Extractor: loadExtractor(*modelDir),
+				Models: b.Models, Default: b.Default, Extractor: b.Extractor,
 				Threshold: threshold, Precision: precision,
 			},
 			Shards: *shards,
@@ -117,99 +111,6 @@ func main() {
 	if err := node.Close(); err != nil {
 		fatal("close: %v", err)
 	}
-}
-
-// loadModels reads the per-attack-type models xatu-train exported
-// (shared.xatu becomes the default model).
-func loadModels(dir string) (map[xatu.AttackType]*xatu.Model, *xatu.Model, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, nil, err
-	}
-	models := map[xatu.AttackType]*xatu.Model{}
-	var def *xatu.Model
-	names := map[string]xatu.AttackType{
-		"udp-flood": xatu.UDPFlood, "tcp-ack": xatu.TCPACK, "tcp-syn": xatu.TCPSYN,
-		"tcp-rst": xatu.TCPRST, "dns-amp": xatu.DNSAmp, "icmp-flood": xatu.ICMPFlood,
-	}
-	for _, e := range entries {
-		if !strings.HasSuffix(e.Name(), ".xatu") {
-			continue
-		}
-		f, err := os.Open(filepath.Join(dir, e.Name()))
-		if err != nil {
-			return nil, nil, err
-		}
-		m, err := xatu.LoadModel(f)
-		f.Close()
-		if err != nil {
-			return nil, nil, fmt.Errorf("loading %s: %w", e.Name(), err)
-		}
-		base := strings.TrimSuffix(e.Name(), ".xatu")
-		if base == "shared" {
-			def = m
-		} else if at, ok := names[base]; ok {
-			models[at] = m
-		}
-	}
-	if def == nil && len(models) == 0 {
-		return nil, nil, fmt.Errorf("no models found in %s (run xatu-train first)", dir)
-	}
-	return models, def, nil
-}
-
-// loadExtractor builds the feature extractor from the registry files
-// next to the models; missing files leave that signal empty.
-func loadExtractor(dir string) *xatu.FeatureExtractor {
-	ext := &xatu.FeatureExtractor{
-		Blocklists: xatu.NewBlocklistRegistry(),
-		History:    xatu.NewHistoryRegistry(),
-		Geo:        simnet.GeoOf,
-		A4Window:   72 * time.Hour,
-		A5Window:   24 * time.Hour,
-	}
-	if f, err := os.Open(filepath.Join(dir, "blocklists.txt")); err == nil {
-		if _, err := blocklist.LoadText(f, ext.Blocklists); err != nil {
-			fatal("blocklists.txt: %v", err)
-		}
-		f.Close()
-	} else {
-		logf("warning: no blocklists.txt; A1 features will be empty")
-	}
-	table := &routing.Table{}
-	if f, err := os.Open(filepath.Join(dir, "routes.txt")); err == nil {
-		t, err := routing.LoadText(f)
-		f.Close()
-		if err != nil {
-			fatal("routes.txt: %v", err)
-		}
-		table = t
-	} else {
-		logf("warning: no routes.txt; every source will look unrouted")
-	}
-	ext.Spoof = xatu.NewSpoofChecker(table)
-	if f, err := os.Open(filepath.Join(dir, "history.snap")); err == nil {
-		if err := ext.History.Load(f); err != nil {
-			fatal("history.snap: %v", err)
-		}
-		f.Close()
-	} else {
-		logf("warning: no history.snap; A2/A4/A5 start cold")
-	}
-	return ext
-}
-
-func loadThreshold(path string) (float64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	if !sc.Scan() {
-		return 0, fmt.Errorf("empty threshold file %s", path)
-	}
-	return strconv.ParseFloat(strings.TrimSpace(sc.Text()), 64)
 }
 
 func logf(format string, args ...any) {

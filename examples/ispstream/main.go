@@ -1,8 +1,10 @@
 // ispstream demonstrates the §2.6 deployment loop end-to-end over a real
-// UDP socket: a synthetic ISP exports NetFlow v5 datagrams, a collector
-// decodes them, and a sharded detection Engine (a quickly trained Xatu
+// UDP socket: a synthetic ISP exports NetFlow v5 datagrams, the parallel
+// ingest pipeline decodes them and seals per-customer steps by record
+// event time, and a sharded detection Engine (a quickly trained Xatu
 // model + the 273-feature extractor, one single-threaded Monitor per
-// shard) raises alerts as an attack window streams by.
+// shard) raises alerts as an attack window streams by. It exits non-zero
+// when the window raises no alert, so it doubles as a smoke test.
 //
 //	go run ./examples/ispstream -shards 4
 package main
@@ -13,7 +15,6 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"net/netip"
 	"time"
 
 	"github.com/xatu-go/xatu"
@@ -23,13 +24,13 @@ func main() {
 	shards := flag.Int("shards", 4, "detection shards; customers are hash-partitioned across them")
 	queue := flag.Int("queue", 256, "per-shard mailbox capacity")
 	telAddr := flag.String("telemetry-addr", "", "serve /metrics, /healthz and /debug endpoints while streaming (empty = disabled)")
-	ingestW := flag.Int("ingest-workers", 0, "stream through the parallel ingest pipeline with this many decode and aggregation workers, sealing steps by record event time (0 = legacy per-step collector drain)")
+	ingestW := flag.Int("ingest-workers", 0, "ingest pipeline decode and aggregation workers each (0 = GOMAXPROCS)")
 	flag.Parse()
 
 	// 1. Train a small model on a labeled world.
 	cfg := xatu.BenchPipelineConfig(10, 7)
 	cfg.Train.Epochs = 10
-	fmt.Println("training a model (about a minute)...")
+	fmt.Println("training a model (a few seconds)...")
 	p, err := xatu.NewPipeline(cfg)
 	if err != nil {
 		log.Fatal(err)
@@ -45,24 +46,12 @@ func main() {
 	survivalThreshold := 1 - sys.Threshold
 	fmt.Printf("calibrated survival threshold: %.4f\n", survivalThreshold)
 
-	// 2. Start a NetFlow collector and a sharded Engine over the trained
-	// models. Live ingest sheds oldest on overflow rather than blocking.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
+	// 2. Start a sharded Engine over the trained models, fed by the ingest
+	// pipeline on a UDP socket. Live ingest sheds oldest on overflow
+	// rather than blocking.
 	// The registry is always on: the shutdown summary reads its step
 	// latency quantiles even when no HTTP server is requested.
 	reg := xatu.NewTelemetryRegistry()
-	var col *xatu.Collector
-	if *ingestW == 0 {
-		var err error
-		col, err = xatu.NewCollector("127.0.0.1:0", 1<<16)
-		if err != nil {
-			log.Fatal(err)
-		}
-		go col.Run(ctx)
-		col.RegisterMetrics(reg)
-	}
 	eng, err := xatu.NewEngine(xatu.EngineConfig{
 		Monitor: xatu.MonitorConfig{
 			Models:    ml.Models.ByType,
@@ -89,110 +78,13 @@ func main() {
 		defer tsrv.Close()
 		fmt.Printf("telemetry on http://%s/metrics\n", tsrv.Addr())
 	}
-
-	// 3. Export a window around a real test attack through the socket.
-	w := p.World
-	eps := p.MatchedEpisodes(p.StabEnd, cfg.World.Steps())
-	if len(eps) == 0 {
-		log.Fatal("no test attacks in this world; try another seed")
-	}
-	ep := eps[0]
-	fmt.Printf("streaming a %v attack on customer %d (steps %d..%d) into %d shards...\n",
-		ep.Type, ep.CustomerIdx, ep.StreamStart, ep.StreamEnd, eng.Shards())
-
-	if *ingestW > 0 {
-		streamThroughPipeline(ctx, cancel, p, cfg, ep.CustomerIdx, ep.StreamStart, ep.StreamEnd, ep.AnomStart, eng, reg, *ingestW)
-		return
-	}
-
-	exp, err := xatu.NewExporter(col.Addr(), 1)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer exp.Close()
-
-	pending := map[netip.Addr][]xatu.Record{}
-	alerts := 0
-	for s := ep.StreamStart; s < ep.StreamEnd; s++ {
-		if s < 0 {
-			continue
-		}
-		// Export this step's flows for the victim customer...
-		for _, r := range w.FlowsAt(ep.CustomerIdx, s) {
-			if err := exp.Export(r); err != nil {
-				log.Fatal(err)
-			}
-		}
-		if err := exp.Flush(); err != nil {
-			log.Fatal(err)
-		}
-		// ...and drain the collector into the engine for this step: block
-		// until the first record lands (the datagrams were just flushed),
-		// then a short quiet period on the channel ends the step.
-		deadline := time.After(500 * time.Millisecond)
-	drain:
-		for {
-			var quiet <-chan time.Time
-			if len(pending) > 0 {
-				quiet = time.After(10 * time.Millisecond)
-			}
-			select {
-			case r := <-col.Records():
-				pending[r.Dst] = append(pending[r.Dst], r)
-			case <-quiet:
-				break drain
-			case <-deadline:
-				break drain
-			}
-		}
-		at := cfg.World.TimeOf(s)
-		for customer, flows := range pending {
-			if err := eng.Submit(customer, at, flows); err != nil {
-				log.Fatal(err)
-			}
-			delete(pending, customer)
-		}
-		// Barrier per step so alerts print step-relative (a real deployment
-		// would read eng.Alerts() asynchronously instead).
-		if err := eng.Drain(); err != nil {
-			log.Fatal(err)
-		}
-	alerted:
-		for {
-			select {
-			case ev := <-eng.Alerts():
-				rel := float64(s-ep.AnomStart) * cfg.World.Step.Minutes()
-				fmt.Printf("  ALERT %v at %+.0f min relative to anomaly start (shard %d, survival %.4f < %.4f)\n",
-					ev.Alert.Sig.Type, rel, ev.Shard, ev.Trace.Survival, ev.Trace.Threshold)
-				alerts++
-			default:
-				break alerted
-			}
-		}
-	}
-	es := eng.Stats()
-	lat := eng.StepLatency().Summary()
-	eng.Close()
-	fmt.Printf("done: %d alerts, %d engine sheds (%d collector), p99 step latency %v over %d steps on %d shards\n",
-		alerts, es.Shed, col.FullStats().Shed, lat.P99, es.Steps, eng.Shards())
-	fmt.Printf("self-healing: health=%s restarts=%d lost=%d snapshots=%d\n",
-		es.Health, es.Restarts, es.Lost, es.Snapshots)
-}
-
-// streamThroughPipeline is the -ingest-workers path: the same attack
-// window flows through the parallel ingest pipeline over a real UDP
-// socket. There is no per-step drain barrier — aggregation workers seal
-// steps by record event time and feed the engine's shards directly, so
-// alerts are read asynchronously and printed relative to the anomaly
-// start by their step timestamps.
-func streamThroughPipeline(ctx context.Context, cancel context.CancelFunc, p *xatu.Pipeline, cfg xatu.PipelineConfig, customerIdx, streamStart, streamEnd, anomStart int, eng *xatu.Engine, reg *xatu.TelemetryRegistry, workers int) {
 	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}
 	pipe, err := xatu.NewIngestPipeline(xatu.IngestConfig{
-		DecodeWorkers: workers,
-		AggWorkers:    workers,
+		DecodeWorkers: *ingestW,
+		AggWorkers:    *ingestW,
 		Step:          cfg.World.Step,
 		Lateness:      cfg.World.Step,
 		Engine:        eng,
@@ -201,10 +93,25 @@ func streamThroughPipeline(ctx context.Context, cancel context.CancelFunc, p *xa
 	if err != nil {
 		log.Fatal(err)
 	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- pipe.Serve(ctx, pc) }()
 
-	anomT := cfg.World.TimeOf(anomStart)
+	// 3. Export a window around a real test attack through the socket.
+	eps := p.MatchedEpisodes(p.StabEnd, cfg.World.Steps())
+	if len(eps) == 0 {
+		log.Fatal("no test attacks in this world; try another seed")
+	}
+	ep := eps[0]
+	fmt.Printf("streaming a %v attack on customer %d (steps %d..%d) into %d shards...\n",
+		ep.Type, ep.CustomerIdx, ep.StreamStart, ep.StreamEnd, eng.Shards())
+
+	// There is no per-step barrier: aggregation workers seal steps by
+	// record event time and feed the engine's shards directly, so alerts
+	// are read asynchronously and placed relative to the anomaly start by
+	// their step timestamps.
+	anomT := cfg.World.TimeOf(ep.AnomStart)
 	alerts := 0
 	alertsDone := make(chan struct{})
 	go func() {
@@ -222,16 +129,13 @@ func streamThroughPipeline(ctx context.Context, cancel context.CancelFunc, p *xa
 	exp, err := xatu.NewExporterWithConfig(xatu.ExporterConfig{
 		Addr:     pc.LocalAddr().String(),
 		Sampling: 1,
-		BootTime: cfg.World.TimeOf(min(streamStart, 0)).Add(-time.Minute),
+		BootTime: cfg.World.TimeOf(min(ep.StreamStart, 0)).Add(-time.Minute),
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	for s := streamStart; s < streamEnd; s++ {
-		if s < 0 {
-			continue
-		}
-		for _, r := range p.World.FlowsAt(customerIdx, s) {
+	for s := max(ep.StreamStart, 0); s < ep.StreamEnd; s++ {
+		for _, r := range p.World.FlowsAt(ep.CustomerIdx, s) {
 			if err := exp.Export(r); err != nil {
 				log.Fatal(err)
 			}
@@ -261,4 +165,7 @@ func streamThroughPipeline(ctx context.Context, cancel context.CancelFunc, p *xa
 		alerts, st.Steps, st.Records, st.LostRecords, st.DroppedLate, lat.P99, eng.Shards())
 	fmt.Printf("self-healing: health=%s restarts=%d lost=%d snapshots=%d\n",
 		es.Health, es.Restarts, es.Lost, es.Snapshots)
+	if alerts == 0 {
+		log.Fatal("the streamed attack window raised no alert")
+	}
 }

@@ -39,7 +39,7 @@ const (
 	// ShedOldest drops the oldest queued telemetry message to make room,
 	// counting it in ShardStats.Shed: the producer never blocks, mirroring
 	// the exporter's bounded-queue policy. The right choice for live
-	// ingest, where blocking the collector loop loses newer data anyway.
+	// ingest, where blocking the ingest workers loses newer data anyway.
 	ShedOldest
 )
 

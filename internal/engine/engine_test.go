@@ -156,16 +156,32 @@ func replayIntoEngine(t *testing.T, cfg Config, customers []netip.Addr, batches 
 	return got, st
 }
 
+// decodeSink decodes each delivered datagram and runs per-exporter
+// sequence accounting, the way an ingest decode worker does, buffering
+// the records of every datagram that is not a duplicate.
+type decodeSink struct {
+	t       *testing.T
+	tracker *netflow.SeqTracker
+	recs    []netflow.Record
+}
+
+func (d *decodeSink) HandlePacket(src string, pkt []byte) {
+	h, recs, err := netflow.DecodeV5(pkt)
+	if err != nil {
+		d.t.Fatal(err)
+	}
+	if !d.tracker.Track(src, h, len(recs)) {
+		d.recs = append(d.recs, recs...)
+	}
+}
+
 // recordChaosStream pushes a deterministic multi-customer trace through
-// the exporter → seeded chaos pipe → collector chain and records the
-// surviving per-step batches.
+// the exporter → seeded chaos pipe → decode + sequence tracking chain and
+// records the surviving per-step batches.
 func recordChaosStream(t *testing.T, customers []netip.Addr, steps int, chaos netflow.ChaosConfig) []stepBatch {
 	t.Helper()
-	col, err := netflow.NewCollector("127.0.0.1:0", 1<<16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pipe := netflow.NewChaosPipe(col, "192.0.2.1:2055", chaos)
+	sink := &decodeSink{t: t, tracker: netflow.NewSeqTracker()}
+	pipe := netflow.NewChaosPipe(sink, "192.0.2.1:2055", chaos)
 	exp, err := netflow.NewExporterWithConfig(netflow.ExporterConfig{
 		Dial: func() (net.Conn, error) { return pipe, nil },
 	})
@@ -186,17 +202,12 @@ func recordChaosStream(t *testing.T, customers []netip.Addr, steps int, chaos ne
 			t.Fatal(err)
 		}
 		// The pipe delivers synchronously: this step's surviving records
-		// are already buffered in the collector.
+		// are already decoded.
 		b := stepBatch{at: t0.Add(time.Duration(s) * time.Minute), flows: map[netip.Addr][]netflow.Record{}}
-	drain:
-		for {
-			select {
-			case r := <-col.Records():
-				b.flows[r.Dst] = append(b.flows[r.Dst], r)
-			default:
-				break drain
-			}
+		for _, r := range sink.recs {
+			b.flows[r.Dst] = append(b.flows[r.Dst], r)
 		}
+		sink.recs = sink.recs[:0]
 		batches = append(batches, b)
 	}
 	if err := exp.Close(); err != nil {

@@ -99,10 +99,9 @@ func BenchmarkIngestE2E(b *testing.B) {
 				}
 			}
 		}
-		// The pre-pipeline dataflow is a collector goroutine piping every
-		// decoded record through a channel to the consumer loop (see
-		// netflow.Collector / cmd/xatu-detect), so the baseline includes
-		// that per-record handoff.
+		// The pre-pipeline dataflow was a collector goroutine piping every
+		// decoded record through a channel to a wall-clock consumer loop,
+		// so the baseline includes that per-record handoff.
 		recCh := make(chan netflow.Record, 65536)
 		consumerDone := make(chan struct{})
 		go func() {

@@ -35,6 +35,9 @@ func (p *Pipeline) registerMetrics(reg *telemetry.Registry) {
 	reg.GaugeFunc("xatu_ingest_lost_records",
 		"Records missing per v5 sequence accounting (refunded on late arrival).",
 		counter(func(s Stats) uint64 { return s.LostRecords }))
+	reg.GaugeFunc("xatu_ingest_exporters",
+		"Distinct (source, engine) NetFlow export streams observed.",
+		counter(func(s Stats) uint64 { return s.Exporters }))
 	reg.CounterFunc("xatu_ingest_steps_total",
 		"(customer, step) buckets sealed and delivered to the sink.",
 		counter(func(s Stats) uint64 { return s.Steps }))

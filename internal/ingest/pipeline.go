@@ -114,6 +114,7 @@ type Stats struct {
 	DupPackets       uint64 // duplicate datagrams discarded
 	ReorderedPackets uint64 // late datagrams delivered out of order
 	LostRecords      uint64 // records missing per v5 sequence accounting
+	Exporters        uint64 // distinct (source, engine) export streams observed
 	Steps            uint64 // (customer, step) buckets emitted
 	DroppedLate      uint64 // records dropped past the lateness allowance
 	PoolHits         uint64 // packet-buffer and chunk free-list hits
@@ -174,6 +175,7 @@ type decodeWorker struct {
 	dup        atomic.Uint64
 	reordered  atomic.Uint64
 	lost       atomic.Uint64
+	exporters  atomic.Uint64
 }
 
 // aggWorker owns the customers of its shard: step aggregation, canonical
@@ -316,6 +318,11 @@ func (w *decodeWorker) handle(pb packet) {
 		return
 	}
 	drop := w.tracker.Track(pb.src, h, len(recs))
+	// Single writer: the load is only a cheap change check, so the shared
+	// counter is written once per new exporter, not once per packet.
+	if n := uint64(w.tracker.Exporters()); n != w.exporters.Load() {
+		w.exporters.Store(n)
+	}
 	dup, reo, lost := w.tracker.Counters()
 	w.dup.Store(dup)
 	w.reordered.Store(reo)
@@ -478,6 +485,7 @@ func (p *Pipeline) Stats() Stats {
 		s.DupPackets += w.dup.Load()
 		s.ReorderedPackets += w.reordered.Load()
 		s.LostRecords += w.lost.Load()
+		s.Exporters += w.exporters.Load()
 	}
 	for _, w := range p.agg {
 		s.Steps += w.steps.Load()

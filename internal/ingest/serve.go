@@ -9,9 +9,8 @@ import (
 )
 
 // Serve reads datagrams from pc into the pipeline until ctx is canceled or
-// the socket closes, mirroring netflow.Collector.Run: the UDP fast path
-// receives without allocating and source names are cached per remote
-// address. Serve does not close the pipeline; call Close after Serve
+// the socket closes. The UDP fast path receives without allocating and
+// source names are cached per remote address. Serve does not close the pipeline; call Close after Serve
 // returns to flush pending steps.
 func (p *Pipeline) Serve(ctx context.Context, pc net.PacketConn) error {
 	go func() {

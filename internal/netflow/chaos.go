@@ -10,12 +10,12 @@ import (
 )
 
 // Chaos transport: deterministic, seeded fault injection on the datagram
-// path between an Exporter and a Collector. Real routers export NetFlow
+// path between an Exporter and its consumer. Real routers export NetFlow
 // over unacknowledged UDP through congested links, so the §2.6 deployment
 // loop must detect through dropped, duplicated, reordered, corrupted and
 // delayed datagrams. ChaosConn wraps any net.Conn (the exporter's UDP
 // socket); NewChaosPipe builds a fully in-memory, synchronous path into a
-// Collector so integration tests are bit-for-bit reproducible.
+// PacketSink so integration tests are bit-for-bit reproducible.
 
 // ChaosConfig sets per-write fault probabilities. Each fault type draws
 // from its own seeded RNG (derived from Seed), so e.g. the drop pattern at
@@ -213,9 +213,10 @@ func (c *ChaosConn) Close() error {
 	return closeErr
 }
 
-// PacketSink consumes raw datagrams. *Collector implements it, so a sink
-// conn can bypass the kernel UDP stack entirely while exercising the same
-// codec and sequence-tracking paths.
+// PacketSink consumes raw datagrams attributed to an exporter source.
+// *ingest.Pipeline implements it, so a sink conn can bypass the kernel UDP
+// stack entirely while exercising the same decode and sequence-tracking
+// paths as a socket.
 type PacketSink interface {
 	HandlePacket(src string, pkt []byte)
 }

@@ -7,8 +7,8 @@ import (
 // The observability layer (internal/telemetry): a dependency-free metric
 // registry with Prometheus text exposition, latency histograms, and an
 // HTTP server for /metrics, /healthz, /debug/alerts and pprof. Pass a
-// registry as EngineConfig.Telemetry and to Collector/Exporter
-// RegisterMetrics, then serve it with NewTelemetryServer.
+// registry as EngineConfig.Telemetry and IngestConfig.Telemetry (and to
+// Exporter.RegisterMetrics), then serve it with NewTelemetryServer.
 
 type (
 	// TelemetryRegistry collects counters, gauges and histograms and

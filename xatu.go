@@ -6,7 +6,7 @@
 // keeping scrubbing overhead bounded.
 //
 // The package re-exports the substrates a deployment needs — the NetFlow
-// codec and UDP transport, the feature extractor and its registries
+// codec, exporter and ingest pipeline, the feature extractor and its registries
 // (blocklists, attack history, spoof checks), the model and its streaming
 // form — plus the synthetic ISP world and the full evaluation harness used
 // to reproduce every table and figure of the paper. See README.md for a
@@ -38,11 +38,6 @@ type (
 	Record = netflow.Record
 	// Proto is an IP protocol number.
 	Proto = netflow.Proto
-	// Collector receives NetFlow v5 datagrams over UDP.
-	Collector = netflow.Collector
-	// CollectorStats separates shed load, upstream loss, duplication and
-	// reordering in the collector's accounting.
-	CollectorStats = netflow.CollectorStats
 	// Exporter batches records into NetFlow v5 datagrams over UDP.
 	Exporter = netflow.Exporter
 	// ExporterConfig tunes the exporter's queue bound and reconnect backoff.
@@ -57,6 +52,8 @@ type (
 	ChaosConn = netflow.ChaosConn
 	// ChaosStats counts injected transport faults.
 	ChaosStats = netflow.ChaosStats
+	// PacketSink consumes raw datagrams; *IngestPipeline implements it.
+	PacketSink = netflow.PacketSink
 )
 
 // Protocol numbers.
@@ -246,12 +243,6 @@ type (
 // NewIngestPipeline validates cfg and starts the ingest workers.
 func NewIngestPipeline(cfg IngestConfig) (*IngestPipeline, error) { return ingest.New(cfg) }
 
-// NewCollector binds a NetFlow v5 UDP listener; bufSize is the record
-// channel capacity.
-func NewCollector(addr string, bufSize int) (*Collector, error) {
-	return netflow.NewCollector(addr, bufSize)
-}
-
 // NewExporter dials a NetFlow v5 collector; sampling is the advertised 1:N
 // sampling interval.
 func NewExporter(addr string, sampling uint16) (*Exporter, error) {
@@ -271,7 +262,8 @@ func NewChaosConn(conn net.Conn, cfg ChaosConfig) *ChaosConn {
 }
 
 // NewChaosPipe builds a deterministic in-memory chaos transport delivering
-// datagrams synchronously into col (which implements netflow.PacketSink).
-func NewChaosPipe(col *Collector, src string, cfg ChaosConfig) *ChaosConn {
-	return netflow.NewChaosPipe(col, src, cfg)
+// datagrams synchronously into sink (for example an *IngestPipeline),
+// attributed to the exporter source src.
+func NewChaosPipe(sink PacketSink, src string, cfg ChaosConfig) *ChaosConn {
+	return netflow.NewChaosPipe(sink, src, cfg)
 }
